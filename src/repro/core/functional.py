@@ -7,9 +7,12 @@ Two fidelity levels, selected per layer:
   core-to-core exactly as LoadRow.RC/StoreRow.RC would, and every MAC is a
   real bit-line computation.  Tractable for small layers; used by the
   end-to-end correctness tests.
-* **fast** — identical data placement, filter splitting, sub-vector
-  handling and accumulation order, but the per-vector dot products are
-  computed with NumPy.  Used for ResNet18-scale functional runs.
+* **fast** — the same filter splitting and 256-lane sub-vector handling,
+  but the accumulators come from one NumPy ``tensordot`` per filter tap
+  over all filters, and the operation counts (vectors streamed, row
+  transfers, per-node MACs) are computed in closed form.  Integer
+  accumulation is exact in any order, so the result is identical.  Used
+  for ResNet18-scale functional runs.
 
 Either way the result must equal the quantized reference engine exactly.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from repro.core.datalayout import (
 )
 from repro.errors import ConfigurationError
 from repro.mapping.capacity import CapacityModel
-from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, QInput
+from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, QInput, _requant
 from repro.nn.workloads import ConvLayerSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_cmem_stats, publish_group_stats
@@ -69,6 +72,23 @@ def _spec_of_qconv(name: str, layer: QConv2d, in_shape) -> ConvLayerSpec:
         r=r, s=s, stride=layer.stride, padding=layer.padding,
         n_bits=layer.n_bits,
     )
+
+
+def _tap_span(
+    offset: int, spec: ConvLayerSpec, size: int, out: int
+) -> Tuple[int, int, slice]:
+    """Ofmap range ``[lo, hi)`` one filter-tap offset reaches along an axis.
+
+    Returns ``(lo, hi, window)`` where ``window`` slices the ifmap inputs
+    that tap multiplies, one per ofmap position in ``[lo, hi)``: ofmap
+    ``o`` reads input ``o * stride - padding + offset``, valid when it
+    lies inside ``[0, size)``.
+    """
+    stride, pad = spec.stride, spec.padding
+    lo = max(0, -((offset - pad) // stride))
+    hi = min(out, (size - 1 + pad - offset) // stride + 1)
+    first = lo * stride - pad + offset
+    return lo, hi, slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
 
 class FunctionalNodeGroup:
@@ -189,51 +209,39 @@ class FunctionalNodeGroup:
     def _run_fast(self, q_in: np.ndarray) -> np.ndarray:
         spec = self.spec
         oh, ow = spec.ofmap_hw
-        cols = self.capacity.cols
-        sub_vectors = max(1, math.ceil(spec.c / cols))
+        sub_vectors = max(1, math.ceil(spec.c / self.capacity.cols))
         acc = np.zeros((spec.m, oh, ow), dtype=np.int64)
         acc += self.bias[:, None, None]
-        padded_c = sub_vectors * cols
-        padded = np.zeros((padded_c, spec.h, spec.w), dtype=np.int64)
-        padded[: spec.c] = q_in
-        for y in range(spec.h):
-            for x in range(spec.w):
-                self.stats.vectors_streamed += 1
-                vector = padded[:, y, x]
-                for k, (start, count) in enumerate(self.ranges):
-                    if count == 0:
-                        continue
-                    self.stats.row_transfers += spec.n_bits * sub_vectors
-                    for fr in range(spec.r):
-                        oy_num = y + spec.padding - fr
-                        if oy_num % spec.stride:
-                            continue
-                        oy = oy_num // spec.stride
-                        if not 0 <= oy < oh:
-                            continue
-                        for fs in range(spec.s):
-                            ox_num = x + spec.padding - fs
-                            if ox_num % spec.stride:
-                                continue
-                            ox = ox_num // spec.stride
-                            if not 0 <= ox < ow:
-                                continue
-                            w_slab = np.zeros((count, padded_c), dtype=np.int64)
-                            w_slab[:, : spec.c] = self.weights[
-                                start : start + count, :, fr, fs
-                            ]
-                            # One MAC.C per held filter per 256-lane
-                            # sub-vector, exactly as the CMem would issue.
-                            for sub in range(sub_vectors):
-                                lo, hi = sub * cols, (sub + 1) * cols
-                                psums = w_slab[:, lo:hi] @ vector[lo:hi]
-                                self.stats.macs += count
-                                self._node_macs[k] += count
-                                acc[start : start + count, oy, ox] += psums
+        row_spans = [_tap_span(fr, spec, spec.h, oh) for fr in range(spec.r)]
+        col_spans = [_tap_span(fs, spec, spec.w, ow) for fs in range(spec.s)]
+        # One tensordot per filter tap over every filter at once: tap
+        # (fr, fs) of all M filters against the strided ifmap window it
+        # meets.  Integer accumulation is exact, so the result equals the
+        # per-vector, per-node, per-sub-vector order the hardware issues.
+        pairs = 0  # sum over taps of the ofmap pixels each tap reaches
+        for fr, (oy0, oy1, rows) in enumerate(row_spans):
+            for fs, (ox0, ox1, cols) in enumerate(col_spans):
+                if oy1 <= oy0 or ox1 <= ox0:
+                    continue
+                acc[:, oy0:oy1, ox0:ox1] += np.tensordot(
+                    self.weights[:, :, fr, fs], q_in[:, rows, cols], axes=1
+                )
+                pairs += (oy1 - oy0) * (ox1 - ox0)
+        # Operation counts of that dataflow in closed form: every ifmap
+        # vector is streamed once and forwarded to each node holding
+        # filters (n_bits rows per 256-lane sub-vector); each held filter
+        # issues one MAC.C per sub-vector per (tap, ofmap pixel) pair.
+        pixels = spec.h * spec.w
+        active = sum(1 for _, count in self.ranges if count)
+        self.stats.vectors_streamed += pixels
+        self.stats.row_transfers += pixels * active * spec.n_bits * sub_vectors
+        for k, (_, count) in enumerate(self.ranges):
+            self._node_macs[k] += count * sub_vectors * pairs
+        self.stats.macs += spec.m * sub_vectors * pairs
         return acc
 
     def run(self, q_in: np.ndarray) -> np.ndarray:
-        """Stream the quantized ifmap through the group; returns int32 acc."""
+        """Stream the quantized ifmap through the group; returns int64 acc."""
         q_in = np.asarray(q_in, dtype=np.int64)
         if q_in.shape != (self.spec.c, self.spec.h, self.spec.w):
             raise ConfigurationError(
@@ -367,8 +375,6 @@ def simulate_quantized_graph(
                 telemetry=telemetry,
             )
             acc = group.run(q_in)
-            from repro.nn.quantize import _requant
-
             acts[name] = _requant(acc, layer.requant_ratio, layer.n_bits)
         elif isinstance(layer, QLinear):
             q_in = acts[node.inputs[0]].reshape(-1)
@@ -394,8 +400,6 @@ def simulate_quantized_graph(
                 telemetry=telemetry,
             )
             acc = group.run(q_in.reshape(spec.c, 1, 1)).reshape(spec.m)
-            from repro.nn.quantize import _requant
-
             acts[name] = _requant(acc, layer.requant_ratio, layer.n_bits)
         else:
             acts[name] = layer.forward(*[acts[i] for i in node.inputs])
