@@ -5,7 +5,8 @@ The introduction motivates MAICC with perception stacks where camera,
 LiDAR, and planning networks of different shapes run *simultaneously*.
 This example spatially partitions the 208-core array among three such
 networks (the MIMD capability of Sec. 8) and compares against
-time-sharing the whole array.
+time-sharing the whole array, then serves periodic sensor frames on both
+layouts through :class:`repro.serving.ServingSimulator`.
 
 Run:  python examples/autonomous_driving_multi_dnn.py
 """
@@ -51,24 +52,35 @@ def planner() -> NetworkSpec:
     return NetworkSpec(name="planner", layers=layers)
 
 
-def serve_sensor_streams() -> None:
+def serve_sensor_frames(scheduler: MultiDNNScheduler) -> None:
     """Arrival-driven serving: frames at sensor rates, spatial vs shared."""
-    from repro.core.sensor_stream import SensorStreamSimulator, StreamSpec
+    from repro.serving import (
+        PeriodicArrivals,
+        ServingSimulator,
+        StaticPartitionPolicy,
+        TenantSpec,
+        TimeSharedPolicy,
+    )
 
-    streams = [
-        StreamSpec(camera_perception(), period_ms=4.0),   # 250 fps camera rig
-        StreamSpec(lidar_segmentation(), period_ms=2.0),  # high-rate LiDAR
-        StreamSpec(planner(), period_ms=1.0),             # 1 kHz control loop
+    tenants = [
+        TenantSpec(net.name, net, PeriodicArrivals(period_ms))
+        for net, period_ms in (
+            (camera_perception(), 4.0),   # 250 fps camera rig
+            (lidar_segmentation(), 2.0),  # high-rate LiDAR
+            (planner(), 1.0),             # 1 kHz control loop
+        )
     ]
-    simulator = SensorStreamSimulator()
     print("\nserving sensor streams for 200 ms "
           "(latency = queueing + inference):")
-    for policy in ("spatial", "time-shared"):
-        result = simulator.run(streams, duration_ms=200, policy=policy)
-        print(f"  policy: {policy}")
-        for stream in streams:
-            report = result.reports[stream.label]
-            print(f"    {stream.label:20s} {report.completed:4d} frames, "
+    for label, policy in (
+        ("spatial", StaticPartitionPolicy(scheduler)),
+        ("time-shared", TimeSharedPolicy(scheduler)),
+    ):
+        result = ServingSimulator(policy, discipline="fifo").run(tenants, 200)
+        print(f"  policy: {label}")
+        for tenant in tenants:
+            report = result.reports[tenant.name]
+            print(f"    {tenant.name:20s} {report.completed:4d} frames, "
                   f"mean {report.mean_latency_ms:7.3f} ms, "
                   f"max {report.max_latency_ms:7.3f} ms")
 
@@ -95,7 +107,7 @@ def main() -> None:
     print(f"aggregate throughput         : {result.aggregate_throughput:8.1f} samples/s "
           f"(time-shared: {result.time_shared_throughput:.1f})")
 
-    serve_sensor_streams()
+    serve_sensor_frames(scheduler)
 
 
 if __name__ == "__main__":

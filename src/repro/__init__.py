@@ -10,20 +10,19 @@ the paper's evaluation.
 
 Quickstart::
 
-    from repro import ChipSimulator, resnet18_spec
-    result = ChipSimulator().run(resnet18_spec(), "heuristic")
+    from repro import simulate, resnet18_spec
+    result = simulate(resnet18_spec(), strategy="heuristic")
     print(result.latency_ms, result.throughput_per_watt)
 """
 
 from repro.cmem import CMem, CMemConfig
 
-# repro.core must initialize before repro.analysis: the system-scope
-# analyzers (repro.analysis.plan / .system) import repro.sim, whose
-# config/accounting modules import repro.core — loading analysis first
+# repro.core must initialize before repro.sim and repro.analysis: the
+# system-scope analyzers (repro.analysis.plan / .system) import repro.sim,
+# whose config/accounting modules import repro.core — loading either first
 # would re-enter repro.sim.config mid-initialization.
 from repro.core import (
     ChipConfig,
-    ChipSimulator,
     MAICCChip,
     MAICCNode,
     MultiDNNScheduler,
@@ -34,6 +33,7 @@ from repro.core import (
     static_schedule,
     table4_workload,
 )
+from repro.sim import simulate
 from repro.analysis import lint_text, schedule_kernel, verify_program
 from repro.energy import ChipConstants, area_breakdown
 from repro.mapping import (
@@ -58,7 +58,7 @@ __all__ = [
     "CMem",
     "CMemConfig",
     "ChipConfig",
-    "ChipSimulator",
+    "simulate",
     "MAICCChip",
     "MAICCNode",
     "MultiDNNScheduler",

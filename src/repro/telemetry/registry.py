@@ -43,6 +43,62 @@ def _check_path(path: str) -> str:
     return path
 
 
+def bucket_percentile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    count: int,
+    minimum: Optional[float],
+    maximum: Optional[float],
+    q: float,
+) -> float:
+    """Bucket-interpolated percentile of a bucketed distribution.
+
+    ``counts`` holds one tally per bucket upper bound in ``bounds`` plus
+    the overflow bucket; ``count``/``minimum``/``maximum`` are the
+    distribution's moments.  Walks the cumulative counts to the bucket
+    containing the ``q``-th percentile rank and interpolates linearly
+    inside it — the standard Prometheus-style estimator.  The first
+    bucket's lower edge and the overflow bucket's upper edge come from
+    the observed ``minimum``/``maximum``, so an estimate never leaves
+    the observed value range.  Returns 0.0 when ``count`` is 0.
+
+    The one estimator behind :meth:`Histogram.percentile`,
+    :meth:`WindowedSeries.percentile
+    <repro.telemetry.windows.WindowedSeries.percentile>` and the HTML
+    report's exported-cell view; callers validate ``q``.
+    """
+    if count == 0:
+        return 0.0
+    assert minimum is not None and maximum is not None
+    lo_obs = float(minimum)
+    hi_obs = float(maximum)
+    rank = q / 100.0 * count
+    cumulative = 0
+    for i, n in enumerate(counts):
+        if n == 0:
+            continue
+        below = cumulative
+        cumulative += n
+        if cumulative >= rank:
+            # Bucket i spans (bounds[i-1], bounds[i]]; the edge buckets
+            # are clipped to the observed min/max.
+            lo = float(bounds[i - 1]) if i > 0 else lo_obs
+            hi = float(bounds[i]) if i < len(bounds) else hi_obs
+            lo = max(lo, lo_obs)
+            hi = min(hi, hi_obs)
+            if hi <= lo:
+                return lo
+            fraction = (rank - below) / n
+            # The ends of the span are exact — `lo + (hi - lo) *
+            # fraction` can round an ulp off at fraction 1.0, and p100
+            # must be exactly the observed max.  The min() keeps interior
+            # rounding inside the span too.
+            if fraction >= 1.0:
+                return hi
+            return min(lo + (hi - lo) * fraction, hi)
+    return hi_obs
+
+
 @dataclass
 class Counter:
     """A monotonically increasing tally (events, cycles, picojoules)."""
@@ -103,45 +159,13 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Bucket-interpolated percentile estimate (``q`` in [0, 100]).
-
-        Walks the cumulative bucket counts to the bucket containing the
-        ``q``-th percentile rank and interpolates linearly inside it —
-        the standard Prometheus-style estimator.  The first bucket's
-        lower edge and the overflow bucket's upper edge come from the
-        recorded ``min``/``max`` moments, so an estimate never leaves
-        the observed value range.  Returns 0.0 on an empty histogram.
-        """
+        """Bucket-interpolated percentile estimate (``q`` in [0, 100]) —
+        see :func:`bucket_percentile`.  Returns 0.0 on an empty histogram."""
         if not 0.0 <= q <= 100.0:
             raise TelemetryError(f"percentile must be in [0, 100], got {q}")
-        if self.count == 0:
-            return 0.0
-        assert self.min is not None and self.max is not None
-        rank = q / 100.0 * self.count
-        cumulative = 0
-        for i, n in enumerate(self.bucket_counts):
-            if n == 0:
-                continue
-            below = cumulative
-            cumulative += n
-            if cumulative >= rank:
-                # Bucket i spans (bounds[i-1], bounds[i]]; the edge
-                # buckets are clipped to the observed min/max.
-                lo = self.bounds[i - 1] if i > 0 else float(self.min)
-                hi = self.bounds[i] if i < len(self.bounds) else float(self.max)
-                lo = max(lo, float(self.min))
-                hi = min(hi, float(self.max))
-                if hi <= lo:
-                    return float(lo)
-                fraction = (rank - below) / n
-                # The ends of the span are exact — `lo + (hi - lo) *
-                # fraction` can round an ulp off at fraction 1.0, and
-                # p100 must be exactly the observed max.  The min()
-                # keeps interior rounding inside the span too.
-                if fraction >= 1.0:
-                    return float(hi)
-                return float(min(lo + (hi - lo) * fraction, hi))
-        return float(self.max)
+        return bucket_percentile(
+            self.bounds, self.bucket_counts, self.count, self.min, self.max, q
+        )
 
 
 @dataclass

@@ -191,36 +191,16 @@ class WindowedSeries:
             raise TelemetryError("percentile needs a series with bounds")
         if not 0.0 <= q <= 100.0:
             raise TelemetryError(f"percentile must be in [0, 100], got {q}")
+        # Function-level import: the registry module imports this one.
+        from repro.telemetry.registry import bucket_percentile
+
         cell = self.cells.get(index)
-        if cell is None or cell.count == 0:
+        if cell is None:
             return 0.0
-        assert cell.min is not None and cell.max is not None
         assert cell.bucket_counts is not None
-        rank = q / 100.0 * cell.count
-        cumulative = 0
-        for i, n in enumerate(cell.bucket_counts):
-            if n == 0:
-                continue
-            below = cumulative
-            cumulative += n
-            if cumulative >= rank:
-                lo = self.bounds[i - 1] if i > 0 else float(cell.min)
-                hi = (
-                    self.bounds[i]
-                    if i < len(self.bounds)
-                    else float(cell.max)
-                )
-                lo = max(lo, float(cell.min))
-                hi = min(hi, float(cell.max))
-                if hi <= lo:
-                    return float(lo)
-                fraction = (rank - below) / n
-                # Mirrors Histogram.percentile: span ends are exact,
-                # interior rounding stays inside the span.
-                if fraction >= 1.0:
-                    return float(hi)
-                return float(min(lo + (hi - lo) * fraction, hi))
-        return float(cell.max)
+        return bucket_percentile(
+            self.bounds, cell.bucket_counts, cell.count, cell.min, cell.max, q
+        )
 
     # -- export / aggregation ----------------------------------------------------
 

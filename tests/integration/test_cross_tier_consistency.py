@@ -17,11 +17,11 @@ import pytest
 from repro.core.event_streaming import EventDrivenSegmentSimulator
 from repro.core.node import MAICCNode, table4_workload
 from repro.core.perfmodel import PerformanceModel, TimingParams
-from repro.core.simulator import ChipSimulator
 from repro.core.streaming import SegmentSimulator
 from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
 from repro.nn.workloads import resnet18_spec
+from repro.sim import simulate
 
 
 class TestNodeVsAnalyticModel:
@@ -55,10 +55,8 @@ class TestNodeVsAnalyticModel:
 
 class TestEventVsTandem:
     def test_agreement_on_mapped_segment(self):
-        sim = ChipSimulator()
-        plan = sim.plan(resnet18_spec(), "heuristic")
-        segment = plan.segments[2]  # layers 12-15
-        timings = sim._segment_timings(segment)
+        report = simulate(resnet18_spec(), strategy="heuristic")
+        timings = report.runs[2].timings  # layers 12-15
         tandem = SegmentSimulator(timings).run().total_cycles
         event = EventDrivenSegmentSimulator(
             timings, forward_policy="eager"

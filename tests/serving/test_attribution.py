@@ -18,6 +18,7 @@ from repro.serving.arrivals import PeriodicArrivals, PoissonArrivals
 from repro.serving.policies import FixedServicePolicy, StaticPartitionPolicy
 from repro.serving.simulator import ServingSimulator
 from repro.serving.tenancy import TenantSpec
+from repro.telemetry import Histogram
 
 NET = small_cnn_spec()
 
@@ -69,9 +70,13 @@ class TestPerRequestInvariant:
     def test_timeline_latency_matches_billed_latency(self):
         result = run_fixed(collect_timelines=True)
         for report in result.reports.values():
-            billed = sorted(report.latencies_ms)
-            attributed = sorted(t.end_to_end for t in report.timelines)
-            assert billed == attributed
+            # Re-observing the attributed latencies in completion order
+            # rebuilds the billed histogram exactly: buckets, count,
+            # min, max and the running total.
+            rebuilt = Histogram(bounds=report.histogram.bounds)
+            for timeline in report.timelines:
+                rebuilt.observe(timeline.end_to_end)
+            assert rebuilt == report.histogram
 
 
 class TestAggregate:

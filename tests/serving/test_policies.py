@@ -53,10 +53,22 @@ class TestTimeShared:
         policy = TimeSharedPolicy(scheduler)
         policy.prepare(tenants)
         for tenant in tenants:
-            expected = scheduler.simulator.run(tenant.network, "heuristic").latency_ms
+            expected = scheduler.run([tenant.network]).time_shared_latency_ms
             assert policy.service_ms(tenant.name) == expected
             assert policy.server_of(tenant.name) == "chip"
         assert policy.shares() == {}
+
+    def test_bills_on_the_scheduler_tier(self, scheduler, tenants):
+        # A non-default tier must reach the shared array's service times,
+        # matching the scheduler's own time-shared baseline on that tier.
+        analytic = MultiDNNScheduler(backend="analytic")
+        policy = TimeSharedPolicy(analytic)
+        policy.prepare(tenants)
+        for tenant in tenants:
+            expected = analytic.run([tenant.network]).time_shared_latency_ms
+            default = scheduler.run([tenant.network]).time_shared_latency_ms
+            assert expected != default  # the tiers disagree on this network
+            assert policy.service_ms(tenant.name) == expected
 
 
 class TestElastic:

@@ -9,7 +9,9 @@ is monotone in ``q``.
 import pytest
 
 from repro.errors import TelemetryError
+from repro.obs.html import _cell_percentile
 from repro.telemetry.registry import DEFAULT_BUCKETS, Histogram
+from repro.telemetry.windows import WindowedSeries
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -98,3 +100,36 @@ class TestProperties:
         true_bucket = bisect.bisect_right(DEFAULT_BUCKETS, true_median)
         est_bucket = bisect.bisect_right(DEFAULT_BUCKETS, p)
         assert abs(est_bucket - true_bucket) <= 1
+
+
+class TestOneEstimator:
+    """Histogram, windowed series and the HTML report's exported-cell
+    view all run :func:`bucket_percentile` — so they agree exactly."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=2e6, allow_nan=False),
+            max_size=60,
+        ),
+        st.lists(
+            st.floats(min_value=0.0, max_value=2e6, allow_nan=False),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ).map(lambda b: tuple(sorted(b))),
+        QS,
+    )
+    def test_three_paths_agree(self, values, bounds, q):
+        h = build(values, bounds)
+        series = WindowedSeries(window=10.0, bounds=bounds)
+        for v in values:
+            series.observe(0.0, v)
+        exported = series.as_dict()
+        cells = exported["cells"]
+        expected = h.percentile(q)
+        assert series.percentile(0, q) == expected
+        if values:
+            assert _cell_percentile(exported["bounds"], cells["0"], q) == expected
+        else:
+            assert expected == 0.0 and cells == {}

@@ -17,9 +17,9 @@ class TestPublicAPI:
 
     def test_quickstart_snippet(self):
         """The README's four-line quickstart works verbatim."""
-        from repro import ChipSimulator, resnet18_spec
+        from repro import simulate, resnet18_spec
 
-        result = ChipSimulator().run(resnet18_spec(), "heuristic")
+        result = simulate(resnet18_spec(), strategy="heuristic")
         assert result.latency_ms > 0
 
 
