@@ -197,27 +197,25 @@ class ClusterRouter:
         result = RoutingResult()
         result.routed = {c: 0 for c in range(self.placement.n_chips)}
         model_names = sorted(streams)
-        merged: List[Tuple[float, int, int, float]] = []
         # Event ranks: 0 = crash, 1 = epoch tick, 2 = arrival.
-        heap: List[Tuple[float, int, int, int]] = []
+        heap: List[Tuple[float, int, int]] = []
         for crash in self.failures.crashes:
             if crash.at_ms < duration_ms:
-                heapq.heappush(heap, (crash.at_ms, 0, crash.chip, 0))
+                heapq.heappush(heap, (crash.at_ms, 0, crash.chip))
         if self.autoscaler is not None:
             epoch = self.autoscaler.config.epoch_ms
             k = 1
             while k * epoch < duration_ms:
-                heapq.heappush(heap, (k * epoch, 1, k, 0))
+                heapq.heappush(heap, (k * epoch, 1, k))
                 k += 1
         cursors = {m: 0 for m in model_names}
         for mi, model in enumerate(model_names):
             times = streams[model]
             if times:
-                heapq.heappush(heap, (times[0], 2, mi, 0))
-        del merged
+                heapq.heappush(heap, (times[0], 2, mi))
 
         while heap:
-            t, rank, a, _ = heapq.heappop(heap)
+            t, rank, a = heapq.heappop(heap)
             if rank == 0:
                 self.crash_chip(a, t, result)
                 continue
@@ -234,7 +232,7 @@ class ClusterRouter:
             cursors[model] += 1
             times = streams[model]
             if cursors[model] < len(times):
-                heapq.heappush(heap, (times[cursors[model]], 2, a, 0))
+                heapq.heappush(heap, (times[cursors[model]], 2, a))
         if self.autoscaler is not None:
             result.alert_count = self.autoscaler.alert_count
         return result

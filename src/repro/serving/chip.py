@@ -1,23 +1,19 @@
 """The per-chip serving engine: one chip's queues, servers, and SLOs.
 
 :class:`ChipHandle` is the machinery that used to live as closures inside
-:meth:`repro.serving.simulator.ServingSimulator.run`, extracted so a chip
-can be driven *headless* by an external router (``repro.fleet``): the
-handle owns the admission queues, server states, dispatch/complete loop,
-attribution, and SLO accounting, while the caller owns the event queue
-and decides where arrivals come from.
+:meth:`repro.serving.simulator.ServingSimulator.run`, extracted so a
+caller can drive one chip step by step: the handle owns the admission
+queues, server states, dispatch/complete loop, attribution, and SLO
+accounting, while the caller runs its event queue.
 
-Two driving modes share every line of the service path:
-
-* **self-driven** — :meth:`start` seeds each tenant's arrival process
-  (open-loop chains advance themselves; closed-loop chains re-arm on
-  completion) and schedules the policy's control ticks.  This is exactly
-  the historical ``ServingSimulator.run`` behaviour, pinned byte-identical
-  by ``tests/serving/test_chip_handle.py``.
-* **router-driven** — the caller schedules :meth:`inject` calls on the
-  shared event queue (or pre-routes arrivals into per-tenant
-  :class:`~repro.serving.arrivals.TraceArrivals`); the handle never
-  generates open-loop arrivals of its own.
+:meth:`ChipHandle.start` seeds each tenant's arrival process (open-loop
+chains advance themselves; closed-loop chains re-arm on completion) and
+schedules the policy's control ticks.  ``ServingSimulator.run`` is
+``open`` → ``start`` → drain → ``finish``, pinned byte-identical by
+``tests/serving/test_chip_handle.py``.  The fleet drives each chip the
+same way (``repro.fleet.simulator.run_chip``), with the router's
+pre-routed arrivals as per-tenant
+:class:`~repro.serving.arrivals.TraceArrivals`.
 
 ``halt_ms`` models a chip crash: at that instant the chip stops serving —
 every queued request and every in-flight batch that would have finished
@@ -55,7 +51,7 @@ class _ServerState:
 
 
 class ChipHandle:
-    """One chip's serving mechanics, bound to an external event queue.
+    """One chip's serving mechanics, bound to its event queue.
 
     Construct via :meth:`repro.serving.simulator.ServingSimulator.open`
     (which validates tenants and runs the policy preflight) rather than
@@ -70,7 +66,6 @@ class ChipHandle:
         policy: ServingPolicy,
         tenants: Sequence[TenantSpec],
         duration_ms: float,
-        queue: EventQueue,
         discipline: str,
         batch_requests: int,
         attribution: bool,
@@ -81,7 +76,7 @@ class ChipHandle:
     ) -> None:
         self.policy = policy
         self.duration_ms = duration_ms
-        self.queue = queue
+        self.queue = EventQueue(telemetry=telemetry)
         self.discipline = discipline
         self.batch_requests = batch_requests
         self.halt_ms = halt_ms
@@ -458,56 +453,6 @@ class ChipHandle:
         self.dispatch(self.policy.server_of(tenant.name))
         if not tenant.arrivals.closed_loop:
             self.schedule_arrival(tenant, tenant.arrivals.next_ms(t))
-
-    def inject(self, tenant: str, t: float) -> None:
-        """Router-driven admission: one arrival of ``tenant`` at ``t``.
-
-        Identical to a self-driven arrival except that no open-loop chain
-        advances — the external router owns the arrival stream.  Call
-        from an event scheduled on the shared queue (so ``queue.now`` is
-        ``t``) or schedule directly via :meth:`schedule_injection`.
-        """
-        spec = self.specs[tenant]
-        if spec.arrivals.closed_loop:
-            self.arrive(spec, t)
-            return
-        report = self.reports[tenant]
-        report.arrivals += 1
-        self.window_arrivals[tenant] += 1
-        self._count(f"serving/tenant/{tenant}/arrivals")
-        if self.halted:
-            report.failed += 1
-            self._count(f"serving/tenant/{tenant}/failed")
-            return
-        request = Request(
-            tenant=tenant,
-            index=self.arrival_index[tenant],
-            arrival_ms=t,
-            deadline_ms=t + spec.deadline_ms,
-            priority=spec.priority,
-            seq=next(self.admission_seq),
-        )
-        self.arrival_index[tenant] += 1
-        victim = self.queues[tenant].offer(request)
-        if victim is None or victim is not request:
-            report.admitted += 1
-        if victim is not None:
-            self.reports[victim.tenant].shed += 1
-            self._count(f"serving/tenant/{victim.tenant}/shed")
-        if self.monitor is not None:
-            self.monitor.record_queue_depth(
-                tenant, t, self.queues[tenant].depth
-            )
-        self._poll_monitor(t)
-        self.dispatch(self.policy.server_of(tenant))
-
-    def schedule_injection(self, tenant: str, t: float) -> None:
-        """Schedule a router-driven arrival on the shared event queue."""
-        self.queue.schedule(
-            t, lambda: self.inject(tenant, t), tag="serving/arrival",
-            actor=f"tenant/{tenant}",
-            writes=(f"queue/{tenant}",),
-        )
 
     # -- elastic control -------------------------------------------------------
 

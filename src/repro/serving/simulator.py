@@ -22,10 +22,10 @@ discrete-event kernel (:class:`repro.utils.events.EventQueue`) against a
   on ``serving/partition``).
 
 The mechanics live in :class:`~repro.serving.chip.ChipHandle` — one
-chip's queues, servers, and accounting bound to an event queue — so an
-external router (``repro.fleet``) can drive the same engine headless.
-:meth:`ServingSimulator.run` is the classic single-chip entry point:
-``open`` → ``start`` → determinism scan → drain → ``finish``.
+chip's queues, servers, and accounting bound to its event queue.
+:meth:`ServingSimulator.run` is ``open`` → ``start`` → determinism scan
+→ drain → ``finish``; the fleet (``repro.fleet.simulator.run_chip``)
+drives each chip through the same steps over pre-routed arrivals.
 
 Determinism: all randomness lives in the seeded arrival processes and
 every simultaneous event resolves by the event queue's sequence-number
@@ -40,13 +40,12 @@ from typing import Optional, Sequence
 from repro.analysis.determinism import accesses_from_queue, check_batches
 from repro.errors import PlanVerificationError, SimulationError
 from repro.obs.monitor import SLOMonitor
-from repro.serving.chip import ChipHandle, _ServerState  # noqa: F401  (re-export)
+from repro.serving.chip import ChipHandle
 from repro.serving.queues import DISCIPLINES
 from repro.serving.policies import ServingPolicy
 from repro.serving.slo import ServingRunResult
 from repro.serving.tenancy import TenantSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
-from repro.utils.events import EventQueue
 
 
 class ServingSimulator:
@@ -108,16 +107,12 @@ class ServingSimulator:
         tenants: Sequence[TenantSpec],
         duration_ms: float,
         *,
-        queue: Optional[EventQueue] = None,
         halt_ms: Optional[float] = None,
     ) -> ChipHandle:
         """Validate, prepare the policy, and bind a :class:`ChipHandle`.
 
-        The handle is inert until :meth:`ChipHandle.start` (self-driven
-        arrivals) or external :meth:`ChipHandle.schedule_injection`
-        calls populate the event queue.  Pass ``queue`` to share one
-        event queue across chips (the fleet router does); pass
-        ``halt_ms`` to crash the chip mid-run.
+        The handle is inert until :meth:`ChipHandle.start` seeds its
+        event queue.  Pass ``halt_ms`` to crash the chip mid-run.
         """
         if not tenants:
             raise SimulationError("serving run needs at least one tenant")
@@ -142,7 +137,6 @@ class ServingSimulator:
             policy=self.policy,
             tenants=tenants,
             duration_ms=duration_ms,
-            queue=queue if queue is not None else EventQueue(telemetry=self._telemetry),
             discipline=self.discipline,
             batch_requests=self.batch_requests,
             attribution=self.attribution,
