@@ -22,8 +22,9 @@ header (python, numpy, machine, cpu_count) plus its benches' rows:
 * ``BENCH_backends.json`` — every ``repro.sim`` tier on ResNet18 and the
   small CNN (gated wall clock).
 * ``BENCH_obs.json`` — latency-attribution overhead (gated call ratio).
-* ``BENCH_fleet.json`` — the multi-chip fleet loop at 1 / 4 / 16 chips
-  (gated wall clock).
+* ``BENCH_fleet.json`` — the multi-chip fleet loop at 1 / 4 / 16 / 64
+  chips (gated wall clock up to 16 chips; the 64-chip point is a
+  recorded, ungated scale row).
 * ``BENCH_dse.json`` — the DSE smoke sweep serial vs. fork-pool (gated
   wall clock and serial-vs-workers byte equality).
 
@@ -97,7 +98,7 @@ BUDGETS: dict = {
     "attribution/overhead_ratio": 1.02,
 }
 
-FLEET_CHIPS = (1, 4, 16)
+FLEET_CHIPS = (1, 4, 16, 64)
 DSE_WORKERS = (0, 4)
 
 
@@ -491,7 +492,7 @@ def bench_backends() -> list:
 
 
 def bench_fleet() -> list:
-    """Throughput of the multi-chip fleet loop at N = 1 / 4 / 16 chips.
+    """Throughput of the multi-chip fleet loop at N = 1 / 4 / 16 / 64 chips.
 
     Two scripted models whose offered load scales linearly with the chip
     count (one replica of each per chip), routed by power-of-two-choices

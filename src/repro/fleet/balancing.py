@@ -24,6 +24,7 @@ Four policies (``BALANCERS``):
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from typing import Dict, List, Optional, Sequence
@@ -118,10 +119,28 @@ class LeastLoadedBalancer(Balancer):
         *,
         session: Optional[str] = None,
     ) -> int:
-        return min(
-            candidates,
-            key=lambda chip: (self.tracker.load_ms(chip, now_ms), chip),
-        )
+        """``min(candidates, key=lambda c: (tracker.load_ms(c, now_ms), c))``
+        for ascending ``candidates`` (as the router hands them over), in
+        one pass: :meth:`FluidLoadTracker.load_ms` inlined over the
+        tracker's dicts, keeping the first strict minimum."""
+        backlog_of = self.tracker._backlog_ms.get
+        updated_of = self.tracker._updated_ms.get
+        speed_of = self.tracker.speed.get
+        best = -1
+        best_load = math.inf
+        for chip in candidates:
+            load = backlog_of(chip, 0.0)
+            updated = updated_of(chip, 0.0)
+            if now_ms > updated:
+                load -= (now_ms - updated) * speed_of(chip, 1.0)
+                if not load > 0.0:  # max(0.0, load), NaN included
+                    load = 0.0
+            if load < best_load:
+                best = chip
+                best_load = load
+        if best < 0:
+            raise SimulationError(f"no candidate chip for model {model!r}")
+        return best
 
 
 class PowerOfTwoBalancer(Balancer):

@@ -23,7 +23,7 @@ byte-identically:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -83,6 +83,18 @@ def partial_mesh_fault(
     )
 
 
+def factor_at(schedule: Sequence[Tuple[float, float]], now_ms: float) -> float:
+    """The factor of the last ``(from_ms, factor)`` step at or before
+    ``now_ms`` in an ascending schedule; 1.0 before the first step."""
+    factor = 1.0
+    for from_ms, step in schedule:
+        if from_ms <= now_ms:
+            factor = step
+        else:
+            break
+    return factor
+
+
 @dataclass
 class FailureScenario:
     """Everything that goes wrong in one fleet run."""
@@ -125,13 +137,7 @@ class FailureScenario:
         )
 
     def degradation_factor(self, chip: int, now_ms: float) -> float:
-        factor = 1.0
-        for from_ms, step in self.degradation_schedule(chip):
-            if from_ms <= now_ms:
-                factor = step
-            else:
-                break
-        return factor
+        return factor_at(self.degradation_schedule(chip), now_ms)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -157,5 +163,6 @@ __all__ = [
     "ChipCrash",
     "ChipDegradation",
     "FailureScenario",
+    "factor_at",
     "partial_mesh_fault",
 ]

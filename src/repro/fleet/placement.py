@@ -8,7 +8,9 @@ first-fit decreasing over replica core sizes with two hard rules:
 
 * at most one replica of a model per chip (a second co-located replica
   would share the partition, not add capacity);
-* the chip's packed shares never exceed ``array_size``.
+* every replica owns a contiguous core range of its chip; the ranges
+  never overlap and never run past ``array_size`` (a new replica takes
+  the lowest free range that fits, so holes left by removals refill).
 
 When the models carry real networks, :func:`preflight_placement` re-runs
 the co-residency PLAN-rule analysis (:func:`repro.analysis.analyze_plan`)
@@ -19,6 +21,7 @@ rejected on one chip is rejected before any sim-time is spent.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,68 +42,103 @@ class ReplicaAssignment:
 
 @dataclass
 class FleetPlacement:
-    """The replica map of a fleet: who lives where, with what share."""
+    """The replica map of a fleet: who lives where, with what share.
+
+    One store — each chip's replicas by model, in placement order — plus
+    a derived index from each model to its ascending host chips.  Every
+    write (:meth:`add`, :meth:`remove`, :meth:`evict_chip`) updates both,
+    so reads cost O(replicas of the model or chip), never O(fleet).
+    """
 
     array_size: int
     n_chips: int
-    assignments: List[ReplicaAssignment] = field(default_factory=list)
+    _by_chip: Dict[int, Dict[str, ReplicaAssignment]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _hosts: Dict[str, List[int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def chips_of(self, model: str) -> List[int]:
         """Chips hosting a replica of ``model``, ascending."""
-        return sorted(
-            a.chip for a in self.assignments if a.model == model
-        )
+        return list(self._hosts.get(model, ()))
 
     def on_chip(self, chip: int) -> List[ReplicaAssignment]:
-        return [a for a in self.assignments if a.chip == chip]
+        """The replicas on ``chip``, in placement order."""
+        return list(self._by_chip.get(chip, {}).values())
 
     def used_cores(self, chip: int) -> int:
-        return sum(a.cores for a in self.on_chip(chip))
+        return sum(a.cores for a in self._by_chip.get(chip, {}).values())
 
     def free_cores(self, chip: int) -> int:
         return self.array_size - self.used_cores(chip)
 
     def replica_count(self, model: str) -> int:
-        return len(self.chips_of(model))
+        return len(self._hosts.get(model, ()))
+
+    def _gaps(self, chip: int) -> List[Tuple[int, int]]:
+        """Free core ranges of ``chip`` as ``(start, size)``, ascending."""
+        gaps: List[Tuple[int, int]] = []
+        cursor = 0
+        for a in sorted(
+            self._by_chip.get(chip, {}).values(), key=lambda a: a.region_start
+        ):
+            if a.region_start > cursor:
+                gaps.append((cursor, a.region_start - cursor))
+            cursor = a.region_start + a.cores
+        if cursor < self.array_size:
+            gaps.append((cursor, self.array_size - cursor))
+        return gaps
+
+    def largest_gap(self, chip: int) -> int:
+        """The biggest contiguous free range of ``chip`` (its fit limit).
+
+        Equals :meth:`free_cores` unless a removal left a hole.
+        """
+        return max((size for _, size in self._gaps(chip)), default=0)
 
     def add(self, model: str, chip: int, cores: int) -> ReplicaAssignment:
-        """Place one more replica (validates the two hard rules)."""
+        """Place one more replica (validates the two hard rules).
+
+        The replica takes the lowest free core range that fits, so a
+        remove followed by an add never overlaps a live replica.
+        """
         if not 0 <= chip < self.n_chips:
             raise SimulationError(f"chip {chip} outside fleet of {self.n_chips}")
-        if chip in self.chips_of(model):
+        if model in self._by_chip.get(chip, {}):
             raise SimulationError(
                 f"chip {chip} already hosts a replica of {model!r}"
             )
-        if cores > self.free_cores(chip):
+        start = next(
+            (start for start, size in self._gaps(chip) if size >= cores), None
+        )
+        if start is None:
             raise SimulationError(
                 f"replica of {model!r} needs {cores} cores; chip {chip} "
-                f"has {self.free_cores(chip)} free"
+                f"has {self.free_cores(chip)} free (largest contiguous "
+                f"range {self.largest_gap(chip)})"
             )
         assignment = ReplicaAssignment(
-            model=model,
-            chip=chip,
-            cores=cores,
-            region_start=self.used_cores(chip),
+            model=model, chip=chip, cores=cores, region_start=start
         )
-        self.assignments.append(assignment)
+        self._by_chip.setdefault(chip, {})[model] = assignment
+        bisect.insort(self._hosts.setdefault(model, []), chip)
         return assignment
 
     def remove(self, model: str, chip: int) -> None:
-        before = len(self.assignments)
-        self.assignments = [
-            a
-            for a in self.assignments
-            if not (a.model == model and a.chip == chip)
-        ]
-        if len(self.assignments) == before:
+        residents = self._by_chip.get(chip, {})
+        if model not in residents:
             raise SimulationError(
                 f"no replica of {model!r} on chip {chip} to remove"
             )
+        del residents[model]
+        self._hosts[model].remove(chip)
 
     def evict_chip(self, chip: int) -> List[ReplicaAssignment]:
         """Drop every replica of a crashed chip; returns what was lost."""
-        lost = self.on_chip(chip)
-        self.assignments = [a for a in self.assignments if a.chip != chip]
+        lost = list(self._by_chip.pop(chip, {}).values())
+        for a in lost:
+            self._hosts[a.model].remove(chip)
         return lost
 
     def as_dict(self) -> Dict[str, object]:
@@ -114,8 +152,9 @@ class FleetPlacement:
                     "cores": a.cores,
                     "region_start": a.region_start,
                 }
+                for chip in sorted(self._by_chip)
                 for a in sorted(
-                    self.assignments, key=lambda a: (a.chip, a.region_start)
+                    self._by_chip[chip].values(), key=lambda a: a.region_start
                 )
             ],
         }
@@ -170,7 +209,7 @@ def place_replicas(
             (
                 chip
                 for chip in range(n_chips)
-                if chip not in hosts and placement.free_cores(chip) >= cores
+                if chip not in hosts and placement.largest_gap(chip) >= cores
             ),
             None,
         )
@@ -200,7 +239,7 @@ def best_chip_for(
     candidates = [
         chip
         for chip in range(placement.n_chips)
-        if chip not in banned and placement.free_cores(chip) >= cores
+        if chip not in banned and placement.largest_gap(chip) >= cores
     ]
     if not candidates:
         return None

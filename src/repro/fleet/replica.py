@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import List, Mapping, Sequence, Tuple
 
 from repro.errors import SimulationError
+from repro.fleet.failures import factor_at
 from repro.fleet.profiles import ModelProfile
 from repro.obs.timeline import PhaseSpec
 from repro.serving.policies import ServingPolicy
@@ -66,13 +67,7 @@ class ReplicaPolicy(ServingPolicy):
         return self.profiles[tenant].batched_service_ms(count)
 
     def service_scale(self, now_ms: float) -> float:
-        scale = 1.0
-        for from_ms, factor in self._steps:
-            if from_ms <= now_ms:
-                scale = factor
-            else:
-                break
-        return scale
+        return factor_at(self._steps, now_ms)
 
     def service_phases(self, tenant: str, count: int = 1) -> List[PhaseSpec]:
         # Staging-category phases are paid once per dispatch; everything

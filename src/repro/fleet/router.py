@@ -31,13 +31,14 @@ their sessions are split across the model's initial replica chips once
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.fleet.autoscale import AutoscaleConfig, ReplicaAutoscaler, ScaleEvent
 from repro.fleet.balancing import Balancer, FluidLoadTracker
-from repro.fleet.failures import FailureScenario
+from repro.fleet.failures import FailureScenario, factor_at
 from repro.fleet.placement import FleetPlacement, best_chip_for
 from repro.fleet.profiles import ModelProfile
 
@@ -103,6 +104,18 @@ class ClusterRouter:
         #: ``(model, chip) -> ready_ms`` for replicas still staging their
         #: weights (new placements and crash recoveries).
         self._ready_ms: Dict[Tuple[str, int], float] = {}
+        #: ``model -> (valid_from_ms, valid_until_ms, live chips)``: the
+        #: live candidate tuple holds for queries in ``[valid_from,
+        #: valid_until)`` — from the latest ready time it includes to the
+        #: earliest ready time it still excludes.  Placement writes and
+        #: crashes clear it.
+        self._live: Dict[str, Tuple[float, float, Tuple[int, ...]]] = {}
+        #: Each chip's sorted ``(from_ms, factor)`` degradation steps,
+        #: built once per run instead of once per routed request.
+        self._schedules = [
+            self.failures.degradation_schedule(chip)
+            for chip in range(placement.n_chips)
+        ]
         self._update_speeds(0.0)
 
     # -- state ------------------------------------------------------------------
@@ -113,17 +126,34 @@ class ClusterRouter:
                 self.tracker.speed[chip] = 0.0
                 continue
             replicas = len(self.placement.on_chip(chip))
-            factor = self.failures.degradation_factor(chip, now_ms)
+            factor = factor_at(self._schedules[chip], now_ms)
             self.tracker.speed[chip] = replicas / factor
 
-    def live_candidates(self, model: str, now_ms: float) -> List[int]:
-        """Chips with a live, weight-ready replica of ``model`` at ``now_ms``."""
-        return [
-            chip
-            for chip in self.placement.chips_of(model)
-            if chip not in self._crashed
-            and self._ready_ms.get((model, chip), 0.0) <= now_ms
-        ]
+    def live_candidates(self, model: str, now_ms: float) -> Tuple[int, ...]:
+        """Chips with a live, weight-ready replica of ``model`` at ``now_ms``.
+
+        Ascending.  Served from the per-model cache while ``now_ms`` stays
+        inside the entry's validity interval; any other query (including
+        one earlier than the entry's) recomputes it.
+        """
+        entry = self._live.get(model)
+        if entry is not None and entry[0] <= now_ms < entry[1]:
+            return entry[2]
+        valid_from = -math.inf
+        valid_until = math.inf
+        live: List[int] = []
+        for chip in self.placement.chips_of(model):
+            if chip in self._crashed:
+                continue
+            ready = self._ready_ms.get((model, chip), 0.0)
+            if ready <= now_ms:
+                live.append(chip)
+                valid_from = max(valid_from, ready)
+            else:
+                valid_until = min(valid_until, ready)
+        candidates = tuple(live)
+        self._live[model] = (valid_from, valid_until, candidates)
+        return candidates
 
     def add_replica(
         self, model: str, chip: int, now_ms: float
@@ -133,12 +163,14 @@ class ClusterRouter:
         self.placement.add(model, chip, profile.cores)
         ready = now_ms + profile.restage_ms
         self._ready_ms[(model, chip)] = ready
+        self._live.pop(model, None)
         self._update_speeds(now_ms)
         return ready
 
     def remove_replica(self, model: str, chip: int, now_ms: float) -> None:
         self.placement.remove(model, chip)
         self._ready_ms.pop((model, chip), None)
+        self._live.pop(model, None)
         self._update_speeds(now_ms)
 
     def crash_chip(
@@ -147,6 +179,7 @@ class ClusterRouter:
         """Evict a crashed chip and re-place its replicas on survivors."""
         self._crashed.add(chip)
         lost = self.placement.evict_chip(chip)
+        self._live.clear()
         self.tracker.reset_chip(chip)
         self._update_speeds(now_ms)
         for assignment in sorted(lost, key=lambda a: a.model):
@@ -251,7 +284,7 @@ class ClusterRouter:
         # The fluid model bills the chip the analytic estimate, stretched
         # by its current degradation (slow chips accumulate more load,
         # which is exactly what steers load-aware balancers away).
-        est = profile.est_ms * self.failures.degradation_factor(chip, t)
+        est = profile.est_ms * factor_at(self._schedules[chip], t)
         self.tracker.add(chip, t, est)
         if self.autoscaler is not None:
             wait = self.tracker.load_ms(chip, t) / max(

@@ -94,6 +94,37 @@ class TestFleetPlacement:
             placement.remove("vision", 1)
 
 
+    def test_readd_after_remove_never_overlaps_a_live_replica(self):
+        placement = FleetPlacement(array_size=210, n_chips=1)
+        placement.add("a", 0, 96)
+        b = placement.add("b", 0, 96)
+        placement.remove("a", 0)
+        c = placement.add("c", 0, 96)
+        # c refills the hole a left, not the range b still owns.
+        assert (b.region_start, c.region_start) == (96, 0)
+        assert placement.as_dict()["replicas"] == [
+            {"model": "c", "chip": 0, "cores": 96, "region_start": 0},
+            {"model": "b", "chip": 0, "cores": 96, "region_start": 96},
+        ]
+
+    def test_fit_needs_one_contiguous_range(self):
+        placement = FleetPlacement(array_size=210, n_chips=2)
+        placement.add("a", 0, 64)
+        placement.add("b", 0, 64)
+        placement.add("c", 0, 64)
+        placement.remove("b", 0)
+        # 82 cores free on chip 0, but as 64 + 18: a 70-core replica
+        # does not fit there, so the chip is not offered either.
+        assert placement.free_cores(0) == 82
+        assert placement.largest_gap(0) == 64
+        with pytest.raises(SimulationError, match="largest contiguous"):
+            placement.add("d", 0, 70)
+        assert best_chip_for(placement, "d", 70) == 1
+        placement.add("x", 1, 150)
+        assert best_chip_for(placement, "d", 70) is None
+        assert best_chip_for(placement, "d", 64) == 0
+
+
 class TestBestChipFor:
     def test_prefers_most_free_then_lowest_id(self):
         placement = FleetPlacement(array_size=210, n_chips=3)
