@@ -14,17 +14,17 @@ The full run writes seven artifacts (:data:`ARTIFACTS`), each a metadata
 header (python, numpy, machine, cpu_count) plus its benches' rows:
 
 * ``BENCH_macc.json`` — the bit-plane MAC engine: ``CMem.mac`` fast vs.
-  reference, batched ``CMem.mac_many``, and a bit-true ResNet18 conv1_x
-  segment on a ``FunctionalNodeGroup``.
+  reference and batched ``CMem.mac_many`` (gated speed-up floors), and a
+  bit-true ResNet18 conv1_x segment on a ``FunctionalNodeGroup``.
 * ``BENCH_telemetry.json`` — simulated cycle counts and metrics-registry
   counters of a cycle-level node and the same segment (deterministic).
 * ``BENCH_serving.json`` — the serving event loop and request batching.
 * ``BENCH_backends.json`` — every ``repro.sim`` tier on ResNet18 and the
   small CNN (gated wall clock).
 * ``BENCH_obs.json`` — latency-attribution overhead (gated call ratio).
-* ``BENCH_fleet.json`` — the multi-chip fleet loop at 1 / 4 / 16 / 64
-  chips (gated wall clock up to 16 chips; the 64-chip point is a
-  recorded, ungated scale row).
+* ``BENCH_fleet.json`` — the multi-chip fleet loop at 1 / 4 / 16 chips
+  (gated wall clock) and at 64 chips (an ungated scale point, so
+  ``--check`` skips it).
 * ``BENCH_dse.json`` — the DSE smoke sweep serial vs. fork-pool (gated
   wall clock and serial-vs-workers byte equality).
 
@@ -62,6 +62,15 @@ from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 #: Every gate, keyed ``"<bench>/<metric>"``; a row passes when
 #: ``value <= budget``.
 BUDGETS: dict = {
+    # Bit-plane MAC engine, as fast-path time over reference time: the
+    # fast path must stay at least 15x faster than the per-pair reference
+    # loop (~40x on a 2-vCPU x86_64 host).  A fall-back to the per-pair
+    # loop, or telemetry doing work on the disabled NullSink path, reads
+    # as ~1x.
+    "mac/fast_over_reference": 1 / 15,
+    # Seven stationary filters in one mac_many call must cost less per
+    # MAC than one fast mac call, or batching stopped amortizing.
+    "mac_many/per_mac_over_single_mac": 1.0,
     # Per-backend wall clock (s).  Each is roughly 10x the wall time on
     # the reference machine after the event-engine vectorization (see
     # docs/SIMULATORS.md), so CI noise never trips them but a regression
@@ -98,7 +107,8 @@ BUDGETS: dict = {
     "attribution/overhead_ratio": 1.02,
 }
 
-FLEET_CHIPS = (1, 4, 16, 64)
+FLEET_CHIPS = (1, 4, 16)
+FLEET_SCALE_CHIPS = 64
 DSE_WORKERS = (0, 4)
 
 
@@ -145,7 +155,14 @@ def _time_per_call(fn, *, min_reps: int = 5, budget_s: float = 1.0) -> float:
 
 
 def bench_mac() -> list:
-    """A 256-wide int8 dot product through ``CMem.mac``, fast vs. reference."""
+    """A 256-wide int8 dot product through ``CMem.mac``, fast vs. reference.
+
+    Runs against the ambient NullSink, so the gated ratio also shows that
+    disabled telemetry does not tax the fast path.
+    """
+    assert telemetry.current() is telemetry.NULL_SINK, (
+        "bench_mac must run against the disabled NullSink"
+    )
     rng = np.random.default_rng(1)
     a = rng.integers(-128, 128, 256)
     b = rng.integers(-128, 128, 256)
@@ -168,6 +185,7 @@ def bench_mac() -> list:
         row("mac", "reference_macs_per_sec", 1.0 / t_ref, "1/s"),
         row("mac", "fast_macs_per_sec", 1.0 / t_fast, "1/s"),
         row("mac", "speedup", t_ref / t_fast, "ratio"),
+        row("mac", "fast_over_reference", t_fast / t_ref, "ratio"),
     ]
 
 
@@ -190,10 +208,12 @@ def bench_mac_many() -> list:
 
     t_many = _time_per_call(lambda: cmem.mac_many(1, 0, rows, 8)) / len(rows)
     t_ref = _time_per_call(lambda: ref.mac(1, 0, 8, 8))
+    t_single = _time_per_call(lambda: cmem.mac(1, 0, 8, 8))
     return [
         row("mac_many", "fast_us_per_mac", t_many * 1e6, "us"),
         row("mac_many", "fast_macs_per_sec", 1.0 / t_many, "1/s"),
         row("mac_many", "speedup_vs_reference_mac", t_ref / t_many, "ratio"),
+        row("mac_many", "per_mac_over_single_mac", t_many / t_single, "ratio"),
     ]
 
 
@@ -491,8 +511,8 @@ def bench_backends() -> list:
     return rows
 
 
-def bench_fleet() -> list:
-    """Throughput of the multi-chip fleet loop at N = 1 / 4 / 16 / 64 chips.
+def _fleet_rows(chips: int) -> list:
+    """Rows of one fleet-loop point at ``chips`` chips.
 
     Two scripted models whose offered load scales linearly with the chip
     count (one replica of each per chip), routed by power-of-two-choices
@@ -507,53 +527,57 @@ def bench_fleet() -> list:
         fixed_profile,
     )
 
-    def models(chips: int) -> list:
-        return [
-            FleetModelSpec(
-                name="vision",
-                profile=fixed_profile(
-                    "vision", 0.8, cores=64, staging_ms=0.2, restage_ms=4.0
-                ),
-                traffic=OpenLoopTraffic(rate_hz=900.0 * chips),
-                deadline_ms=10.0,
-                queue_capacity=256,
-                replicas=chips,
+    spec = [
+        FleetModelSpec(
+            name="vision",
+            profile=fixed_profile(
+                "vision", 0.8, cores=64, staging_ms=0.2, restage_ms=4.0
             ),
-            FleetModelSpec(
-                name="speech",
-                profile=fixed_profile(
-                    "speech", 1.1, cores=96, staging_ms=0.3, restage_ms=6.0
-                ),
-                traffic=OpenLoopTraffic(rate_hz=400.0 * chips),
-                deadline_ms=15.0,
-                queue_capacity=256,
-                replicas=chips,
+            traffic=OpenLoopTraffic(rate_hz=900.0 * chips),
+            deadline_ms=10.0,
+            queue_capacity=256,
+            replicas=chips,
+        ),
+        FleetModelSpec(
+            name="speech",
+            profile=fixed_profile(
+                "speech", 1.1, cores=96, staging_ms=0.3, restage_ms=6.0
             ),
-        ]
-
+            traffic=OpenLoopTraffic(rate_hz=400.0 * chips),
+            deadline_ms=15.0,
+            queue_capacity=256,
+            replicas=chips,
+        ),
+    ]
     duration_ms = 1000.0
-    rows = []
-    for chips in FLEET_CHIPS:
-        spec = models(chips)
 
-        def run():
-            return FleetSimulator(
-                spec, chips, balancer="p2c", seed=0, scenario="bench-fleet"
-            ).run(duration_ms)
+    def run():
+        return FleetSimulator(
+            spec, chips, balancer="p2c", seed=0, scenario="bench-fleet"
+        ).run(duration_ms)
 
-        result = run()
-        t = _time_per_call(run, min_reps=2, budget_s=0.5)
-        key = f"chips={chips}"
-        rows += [
-            row("fleet", f"{key}/requests", result.total_generated, "count"),
-            row("fleet", f"{key}/completed", result.total_completed, "count"),
-            row("fleet", f"{key}/shed", result.total_shed, "count"),
-            row("fleet", f"{key}/wall_s_per_run", t, "s"),
-            row("fleet", f"{key}/requests_per_sec",
-                result.total_generated / t, "1/s"),
-            row("fleet", f"{key}/sim_ms_per_wall_s", duration_ms / t, "ms/s"),
-        ]
-    return rows
+    result = run()
+    t = _time_per_call(run, min_reps=2, budget_s=0.5)
+    key = f"chips={chips}"
+    return [
+        row("fleet", f"{key}/requests", result.total_generated, "count"),
+        row("fleet", f"{key}/completed", result.total_completed, "count"),
+        row("fleet", f"{key}/shed", result.total_shed, "count"),
+        row("fleet", f"{key}/wall_s_per_run", t, "s"),
+        row("fleet", f"{key}/requests_per_sec",
+            result.total_generated / t, "1/s"),
+        row("fleet", f"{key}/sim_ms_per_wall_s", duration_ms / t, "ms/s"),
+    ]
+
+
+def bench_fleet() -> list:
+    """Throughput of the multi-chip fleet loop at N = 1 / 4 / 16 chips."""
+    return [r for chips in FLEET_CHIPS for r in _fleet_rows(chips)]
+
+
+def bench_fleet_scale() -> list:
+    """The fleet loop at 64 chips: a recorded scale point, never gated."""
+    return _fleet_rows(FLEET_SCALE_CHIPS)
 
 
 def bench_dse() -> list:
@@ -593,11 +617,12 @@ ARTIFACTS: dict = {
     "BENCH_serving.json": (bench_serving, bench_serving_batched),
     "BENCH_backends.json": (bench_backends,),
     "BENCH_obs.json": (bench_obs,),
-    "BENCH_fleet.json": (bench_fleet,),
+    "BENCH_fleet.json": (bench_fleet, bench_fleet_scale),
     "BENCH_dse.json": (bench_dse,),
 }
 #: The benches ``--check`` runs: every one that carries a gated row.
-GATED = (bench_obs, bench_backends, bench_fleet, bench_dse)
+GATED = (bench_mac, bench_mac_many, bench_obs, bench_backends, bench_fleet,
+         bench_dse)
 
 
 def main(argv=None) -> int:

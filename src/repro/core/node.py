@@ -32,6 +32,12 @@ from repro.riscv.replay import ReplayCache
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.utils.bitops import to_twos_complement
 
+#: Channels one transposed ifmap row carries: the CMem's 256 bit lines.
+#: Layers with more channels need the 256-channel sub-vectors that
+#: :mod:`repro.core.datalayout` plans, which the virtual DC cannot
+#: stream yet.
+MAX_NODE_CHANNELS = 256
+
 
 def table4_workload() -> ConvLayerSpec:
     """The paper's single-node workload: 5 filters of 3x3x256 on 9x9x256."""
@@ -87,13 +93,12 @@ class _VirtualDC:
         encoded = to_twos_complement(
             ifmap.reshape(c, h * w).T, n_bits
         )  # (pixels, channels)
-        width = 256
         self._rows: List[List[int]] = []
         for p in range(h * w):
             packed_rows = []
             for row in range(n_bits):
                 packed = 0
-                for ch in range(min(c, width)):
+                for ch in range(c):
                     packed |= int((encoded[p, ch] >> row) & 1) << ch
                 packed_rows.append(packed)
             self._rows.append(packed_rows)
@@ -128,6 +133,12 @@ class MAICCNode:
         telemetry: Optional[TelemetrySink] = None,
         node_id: int = 0,
     ) -> None:
+        if spec.c > MAX_NODE_CHANNELS:
+            raise ConfigurationError(
+                f"{spec.name}: C = {spec.c} exceeds the {MAX_NODE_CHANNELS} "
+                "channels one node streams per ifmap row (sub-vector "
+                "streaming is not modeled)"
+            )
         self.spec = spec
         self.weights = np.asarray(weights, dtype=np.int64)
         if self.weights.shape != (spec.m, spec.c, spec.r, spec.s):

@@ -1,9 +1,9 @@
 """Design-space ablations as first-class experiments.
 
-The benchmark suite asserts these; the CLI renders them.  Each sweeps one
-design choice DESIGN.md calls out: CMem slice count, operand precision,
-the MAC primitive vs element-wise computing, placement policy, and batch
-streaming.
+``tests/experiments/test_ablations.py`` asserts their rows; the CLI
+renders them.  Each sweeps one design choice DESIGN.md calls out: CMem
+slice count, operand precision, the MAC primitive vs element-wise
+computing, placement policy, and batch streaming.
 """
 
 from __future__ import annotations
@@ -62,6 +62,20 @@ def run_slices() -> ExperimentResult:
     return result
 
 
+def _measured_mac_cycles(n_bits: int) -> int:
+    """CMem busy cycles of one bit-true signed 256-wide MAC at ``n_bits``."""
+    rng = np.random.default_rng(n_bits)
+    lo, hi = -(1 << (n_bits - 1)), 1 << (n_bits - 1)
+    a = rng.integers(lo, hi, 256)
+    b = rng.integers(lo, hi, 256)
+    cmem = CMem()
+    cmem.store_vector_transposed(1, 0, a, n_bits, signed=True)
+    cmem.store_vector_transposed(1, n_bits, b, n_bits, signed=True)
+    value = cmem.mac(1, 0, n_bits, n_bits, signed=True)
+    assert value == int(np.dot(a, b))
+    return cmem.stats.busy_cycles
+
+
 def run_precision() -> ExperimentResult:
     """Operand width: n^2 MAC cycles vs 64/n - 1 capacity."""
     result = ExperimentResult(
@@ -86,7 +100,7 @@ def run_precision() -> ExperimentResult:
             latency = "does not fit"
         result.add_row(
             n_bits=n,
-            mac_cycles=n * n,
+            mac_cycles=_measured_mac_cycles(n),
             slots_per_slice=capacity.vector_slots_per_slice(n),
             resnet_latency_ms=latency,
         )
@@ -120,7 +134,7 @@ def run_primitives() -> ExperimentResult:
     )
     result.add_row(
         approach="adder-tree MAC (MAICC)",
-        cycles_per_dot_product=64,
+        cycles_per_dot_product=cmem.stats.busy_cycles,
         notes="n^2 cycles, scalar straight to a register",
     )
     return result

@@ -123,10 +123,6 @@ def instr_slices(instr: Instruction) -> tuple:
     return (cm.get("slice", 0),)
 
 
-# Back-compat alias (pre-analysis-subsystem name).
-_instr_slices = instr_slices
-
-
 class CMemIssueQueue:
     """Issue-queue + per-slice occupancy model of the CMem.
 
@@ -172,10 +168,6 @@ class CMemIssueQueue:
 
     def all_free_time(self) -> int:
         return max(self.slice_free)
-
-
-# Back-compat alias (pre-analysis-subsystem name).
-_CMemUnit = CMemIssueQueue
 
 
 class Pipeline:

@@ -50,6 +50,9 @@ class TestConcurrentExecution:
         result = scheduler.run(nets)
         assert result.parallel_latency_ms < result.time_shared_latency_ms
         assert result.speedup_vs_time_shared > 1.0
+        # Every model actually ran in its partition.
+        assert len(result.runs) == 3
+        assert all(run.latency_ms > 0 for run in result.runs)
 
     def test_aggregate_throughput_counts_all_models(self, scheduler):
         nets = [tiny_net("a"), tiny_net("b")]

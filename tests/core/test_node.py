@@ -35,6 +35,13 @@ class TestWorkload:
         with pytest.raises(ConfigurationError):
             MAICCNode(spec, np.zeros((2, 2, 3, 3)))
 
+    def test_more_than_256_channels_rejected(self):
+        """One ifmap row carries 256 channels; C = 512 used to come back
+        as wrong psums with no error."""
+        spec = ConvLayerSpec(0, "c512", h=3, w=3, c=512, m=2, r=1, s=1, padding=0)
+        with pytest.raises(ConfigurationError, match="512"):
+            MAICCNode(spec, np.zeros((spec.m, spec.c, 1, 1), dtype=np.int64))
+
     def test_ifmap_shape_validated(self, node_and_data):
         node, _ = node_and_data
         with pytest.raises(ConfigurationError):

@@ -32,9 +32,10 @@ class TestTrafficReplay:
         assert zig.energy_pj() == pytest.approx(zig.flit_hops * 5.4)
 
     def test_packet_count_placement_invariant(self, segment):
+        """Placement changes distance, never the traffic volume."""
         a = simulate_segment_traffic(segment, zigzag_placement(segment))
-        b = simulate_segment_traffic(segment, raster_placement(segment))
-        assert a.packets == b.packets
+        for other in (raster_placement(segment), random_placement(segment, seed=3)):
+            assert simulate_segment_traffic(segment, other).packets == a.packets
 
     def test_wide_channels_double_row_traffic(self, segment):
         from repro.mapping.segmentation import Segment

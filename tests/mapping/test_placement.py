@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.perfmodel import PerformanceModel
 from repro.errors import PlacementError
-from repro.mapping.placement import zigzag_placement
+from repro.mapping.placement import raster_placement, zigzag_placement
 from repro.mapping.segmentation import HeuristicStrategy
 from repro.nn.workloads import resnet18_spec
 
@@ -24,6 +24,12 @@ class TestZigZag:
     def test_average_chain_hops_is_one(self, plan):
         placement = zigzag_placement(plan.segments[0])
         assert placement.average_chain_hops() == pytest.approx(1.0)
+
+    def test_raster_chains_are_longer(self, plan):
+        """Only zig-zag keeps every chain hop at one on a ~190-core segment."""
+        segment = plan.segments[1]  # layers 7-11
+        assert zigzag_placement(segment).average_chain_hops() == pytest.approx(1.0)
+        assert raster_placement(segment).average_chain_hops() > 1.0
 
     def test_all_tiles_unique(self, plan):
         placement = zigzag_placement(plan.segments[1])

@@ -25,6 +25,8 @@ def bench():
 
 def test_budgets_table_pins_every_bound(bench):
     assert bench.BUDGETS == {
+        "mac/fast_over_reference": 1 / 15,
+        "mac_many/per_mac_over_single_mac": 1.0,
         "backends/resnet18/analytic/wall_s": 0.10,
         "backends/resnet18/streaming/wall_s": 0.50,
         "backends/resnet18/event/wall_s": 0.60,
@@ -71,13 +73,15 @@ def test_all_within_budget_passes(bench, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [
+        ("mac/fast_over_reference", 1 / 14),
+        ("mac_many/per_mac_over_single_mac", 1.01),
         ("backends/resnet18/event/wall_s", 2.54),
         ("fleet/chips=16/wall_s_per_run", 3.6),
         ("dse/workers=4/wall_s_per_run", 2.6),
         ("attribution/overhead_ratio", 1.03),
         ("dse/distinct_artifacts_minus_1", 1),
     ],
-    ids=["backend", "fleet", "dse-wall", "obs-ratio", "dse-bytes"],
+    ids=["mac", "mac-many", "backend", "fleet", "dse-wall", "obs-ratio", "dse-bytes"],
 )
 def test_breach_fails_and_is_named(bench, capsys, key, value):
     rows = _within(bench)
